@@ -23,23 +23,6 @@ func Example() {
 	// question cached: false
 }
 
-func ExampleNew_policySelection() {
-	// Any algorithm from the paper's evaluation can back the cache.
-	for _, policy := range []string{"s3fifo", "lru", "arc", "tinylfu"} {
-		c, err := cache.New(cache.Config{MaxBytes: 1 << 20, Policy: policy})
-		if err != nil {
-			panic(err)
-		}
-		c.Set("k", []byte("v"))
-		fmt.Println(policy, c.Contains("k"))
-	}
-	// Output:
-	// s3fifo true
-	// lru true
-	// arc true
-	// tinylfu true
-}
-
 func ExampleCache_Stats() {
 	c, _ := cache.New(cache.Config{MaxBytes: 1 << 20})
 	c.Set("a", []byte("1"))

@@ -182,7 +182,7 @@ func TestNoStaleServeAcrossOutage(t *testing.T) {
 		})
 		c.Set("victim", []byte("stale"))
 		fill(t, c, "warm", 32) // push victim out of DRAM and onto the tier
-		if c.engine.Contains("victim") {
+		if c.kv.Contains("victim") {
 			t.Skip("victim still DRAM-resident; eviction order changed")
 		}
 		if !c.tier.t.Contains("victim") {

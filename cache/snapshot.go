@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+
+	"s3fifo/internal/concurrent"
 )
 
 // Snapshot format v2: a full metadata snapshot. After the magic comes
@@ -15,7 +17,7 @@ import (
 // resident entry with its value, TTL, S3-FIFO queue membership, and
 // frequency, plus every ghost-queue fingerprint — then an end tag and a
 // trailing CRC32 (IEEE) over everything before it, magic included.
-// Restoring replays the records through Engine.RestoreMeta, so a
+// Restoring replays the records through the engine's RestoreMeta, so a
 // restarted cache resumes with the eviction policy's learned state
 // (which entries proved reuse, what the ghost remembers), not just the
 // data. v1 snapshots (value dump, no metadata) still load via the
@@ -39,6 +41,12 @@ const (
 	snapEnd   = 0
 	snapEntry = 1
 	snapGhost = 2
+)
+
+// Queue bytes of an entry record: which S3-FIFO queue held it.
+const (
+	snapQueueSmall = 0
+	snapQueueMain  = 1
 )
 
 // maxSnapshotRecord guards Load against corrupt length fields.
@@ -86,7 +94,7 @@ func (c *Cache) Save(w io.Writer) error {
 	}
 
 	var werr error
-	c.engine.SnapshotMeta(func(r MetaRecord) bool {
+	c.kv.SnapshotMeta(func(r concurrent.MetaRecord) bool {
 		if r.Ghost {
 			if werr = writeByte(snapGhost); werr != nil {
 				return false
@@ -128,7 +136,11 @@ func (c *Cache) Save(w io.Writer) error {
 		if werr = writeByte(byte(freq)); werr != nil {
 			return false
 		}
-		werr = writeByte(byte(r.Queue))
+		queue := byte(snapQueueSmall)
+		if r.Main {
+			queue = snapQueueMain
+		}
+		werr = writeByte(queue)
 		return werr == nil
 	})
 	if werr != nil {
@@ -158,11 +170,11 @@ type snapIter struct {
 	now  int64
 }
 
-func (it *snapIter) next() (MetaRecord, bool) {
+func (it *snapIter) next() (concurrent.MetaRecord, bool) {
 	for {
 		rec, ok, err := readSnapshotRecord(it.body, &it.off, true)
 		if err != nil || !ok {
-			return MetaRecord{}, false
+			return concurrent.MetaRecord{}, false
 		}
 		if !rec.Ghost && rec.ExpiresAt != 0 && it.now > rec.ExpiresAt {
 			continue // expired while the snapshot sat on disk
@@ -174,24 +186,24 @@ func (it *snapIter) next() (MetaRecord, bool) {
 // readSnapshotRecord decodes one record at *off, advancing it. ok=false
 // with nil error is the end tag. With copy=false no key/value data is
 // materialized (the validation pass).
-func readSnapshotRecord(body []byte, off *int, copyData bool) (MetaRecord, bool, error) {
+func readSnapshotRecord(body []byte, off *int, copyData bool) (concurrent.MetaRecord, bool, error) {
 	need := func(n int) bool { return *off+n <= len(body) }
 	if !need(1) {
-		return MetaRecord{}, false, errors.New("cache: snapshot truncated")
+		return concurrent.MetaRecord{}, false, errors.New("cache: snapshot truncated")
 	}
 	tag := body[*off]
 	*off++
 	switch tag {
 	case snapEnd:
 		if *off != len(body) {
-			return MetaRecord{}, false, errors.New("cache: snapshot has trailing data")
+			return concurrent.MetaRecord{}, false, errors.New("cache: snapshot has trailing data")
 		}
-		return MetaRecord{}, false, nil
+		return concurrent.MetaRecord{}, false, nil
 	case snapGhost:
 		if !need(8) {
-			return MetaRecord{}, false, errors.New("cache: snapshot truncated")
+			return concurrent.MetaRecord{}, false, errors.New("cache: snapshot truncated")
 		}
-		rec := MetaRecord{
+		rec := concurrent.MetaRecord{
 			Ghost:       true,
 			Shard:       binary.LittleEndian.Uint32(body[*off:]),
 			Fingerprint: binary.LittleEndian.Uint32(body[*off+4:]),
@@ -200,39 +212,39 @@ func readSnapshotRecord(body []byte, off *int, copyData bool) (MetaRecord, bool,
 		return rec, true, nil
 	case snapEntry:
 		if !need(4) {
-			return MetaRecord{}, false, errors.New("cache: snapshot truncated")
+			return concurrent.MetaRecord{}, false, errors.New("cache: snapshot truncated")
 		}
 		klen := int(binary.LittleEndian.Uint32(body[*off:]))
 		*off += 4
 		if klen == 0 || klen > maxSnapshotRecord || !need(klen) {
-			return MetaRecord{}, false, errors.New("cache: snapshot key length corrupt")
+			return concurrent.MetaRecord{}, false, errors.New("cache: snapshot key length corrupt")
 		}
 		kOff := *off
 		*off += klen
 		if !need(4) {
-			return MetaRecord{}, false, errors.New("cache: snapshot truncated")
+			return concurrent.MetaRecord{}, false, errors.New("cache: snapshot truncated")
 		}
 		vlen := int(binary.LittleEndian.Uint32(body[*off:]))
 		*off += 4
 		if vlen > maxSnapshotRecord || !need(vlen) {
-			return MetaRecord{}, false, errors.New("cache: snapshot value length corrupt")
+			return concurrent.MetaRecord{}, false, errors.New("cache: snapshot value length corrupt")
 		}
 		vOff := *off
 		*off += vlen
 		if !need(8 + 1 + 1) {
-			return MetaRecord{}, false, errors.New("cache: snapshot truncated")
+			return concurrent.MetaRecord{}, false, errors.New("cache: snapshot truncated")
 		}
 		expires := int64(binary.LittleEndian.Uint64(body[*off:]))
 		freq := body[*off+8]
 		queue := body[*off+9]
 		*off += 10
-		if queue > uint8(MetaMain) {
-			return MetaRecord{}, false, errors.New("cache: snapshot queue tag corrupt")
+		if queue > snapQueueMain {
+			return concurrent.MetaRecord{}, false, errors.New("cache: snapshot queue tag corrupt")
 		}
-		rec := MetaRecord{
+		rec := concurrent.MetaRecord{
 			ExpiresAt: expires,
 			Freq:      int(freq),
-			Queue:     MetaQueue(queue),
+			Main:      queue == snapQueueMain,
 		}
 		if copyData {
 			rec.Key = string(body[kOff : kOff+klen])
@@ -240,7 +252,7 @@ func readSnapshotRecord(body []byte, off *int, copyData bool) (MetaRecord, bool,
 		}
 		return rec, true, nil
 	default:
-		return MetaRecord{}, false, fmt.Errorf("cache: snapshot record tag %d corrupt", tag)
+		return concurrent.MetaRecord{}, false, fmt.Errorf("cache: snapshot record tag %d corrupt", tag)
 	}
 }
 
@@ -261,7 +273,7 @@ func validateSnapshotV2(body []byte) error {
 
 // Load restores a snapshot written by Save into a freshly configured
 // cache. v2 snapshots restore full eviction metadata (queue membership,
-// frequencies, ghost fingerprints) via Engine.RestoreMeta; v1 snapshots
+// frequencies, ghost fingerprints) via the engine's RestoreMeta; v1 snapshots
 // restore values only. Entries that no longer fit (smaller MaxBytes
 // than at save time) are admitted-then-evicted by the policy as usual;
 // already-expired TTL entries are dropped. On any error — bad magic,
@@ -313,7 +325,7 @@ func loadV2(br *bufio.Reader, cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	it := &snapIter{body: body, now: now().UnixNano()}
-	c.engine.RestoreMeta(it.next)
+	c.kv.RestoreMeta(it.next)
 	c.drainEvictions()
 	c.snapshotAt.Store(savedAt)
 	return c, nil

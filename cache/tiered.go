@@ -164,8 +164,7 @@ func newSecondTier(cfg Config) (*secondTier, error) {
 // therefore under an engine lock (engine -> tier is the one lock
 // order). It reports whether the entry lives on in the second tier
 // (written now, or already there from an earlier demotion).
-func (t *secondTier) demote(ev EngineEviction) bool {
-	key := ev.Key
+func (t *secondTier) demote(key string, value []byte, size uint32, freq int, expiresAt int64) bool {
 	if len(key) == 0 {
 		return false
 	}
@@ -176,8 +175,8 @@ func (t *secondTier) demote(ev EngineEviction) bool {
 		return false
 	}
 	// Admission IDs are hashed from the key so admitEvicted and
-	// admitInsert agree on identity regardless of the serving engine.
-	if !t.adm.admitEvicted(hashString(key), ev.Size, ev.Freq) {
+	// admitInsert agree on identity.
+	if !t.adm.admitEvicted(hashString(key), size, freq) {
 		atomic.AddUint64(&t.declined, 1)
 		return false
 	}
@@ -188,7 +187,7 @@ func (t *secondTier) demote(ev EngineEviction) bool {
 		atomic.AddUint64(&t.demotedClean, 1)
 		return true
 	}
-	err := t.t.Put(key, ev.Value, ev.ExpiresAt)
+	err := t.t.Put(key, value, expiresAt)
 	if errors.Is(err, ErrEntryTooLarge) {
 		// A per-entry decline (backend limits), not backend sickness.
 		atomic.AddUint64(&t.declined, 1)
@@ -202,18 +201,11 @@ func (t *secondTier) demote(ev EngineEviction) bool {
 	return true
 }
 
-// expired reports whether the evicted entry's TTL had already passed at
-// eviction time, per the shared expiredAt boundary (such victims are
-// never worth a tier write).
-func (ev EngineEviction) expired() bool {
-	return expiredAt(ev.ExpiresAt, now().UnixNano())
-}
-
 // onSet runs after an engine Set: the new value supersedes any tier
 // copy (tombstoned, not just dropped from the index, so a stale record
 // can never resurrect on crash recovery), and ghost admission may write
-// it through immediately. The facade's Set orders this after engine.Set
-// returns, which both engines guarantee is after any in-flight demotion
+// it through immediately. The facade's Set orders this after kv.Set
+// returns, which the engine guarantees is after any in-flight demotion
 // of the superseded value has settled.
 func (t *secondTier) onSet(key string, id uint64, value []byte, stored bool) {
 	if t.br.markDirtyIfDegraded(key) {

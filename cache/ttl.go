@@ -8,7 +8,7 @@ var now = time.Now
 
 // expiredAt is the repository's one TTL boundary rule: an entry with a
 // deadline is expired strictly after it — at the exact expiry instant it
-// still serves. Every layer that judges freshness (both engines, the
+// still serves. Every layer that judges freshness (the engine, the
 // eviction-time demotion check, and the facade's double-check on values
 // returned by a second tier) routes through this comparison, so a key
 // can never be fresh in one layer and expired in another at the same

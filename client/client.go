@@ -543,7 +543,6 @@ func (c *Client) Delete(key string) (bool, error) {
 // ServerStats is the typed view of the server's counters. Flash fields
 // are zero when the server runs without a flash tier.
 type ServerStats struct {
-	Engine             string // serving engine ("policy" or "concurrent")
 	NodeID             string // cluster node identity (s3cached -node-id); "" when unset
 	TierKind           string // active second tier ("flash", "file", "remote"); "" when DRAM-only
 	SnapshotAgeSeconds int64  // age of the snapshot last saved or restored; -1 when none
@@ -621,7 +620,6 @@ func (c *Client) ServerStats() (ServerStats, error) {
 		}
 	}
 	return ServerStats{
-		Engine:             raw["engine"],
 		NodeID:             raw["node_id"],
 		TierKind:           raw["tier_kind"],
 		SnapshotAgeSeconds: snapshotAge,
@@ -675,7 +673,7 @@ func (c *Client) ServerStats() (ServerStats, error) {
 }
 
 // Stats fetches the server's numeric counters as a name -> value map.
-// Stats whose values are not unsigned integers (e.g. "engine") are
+// Stats whose values are not unsigned integers (e.g. "node_id") are
 // skipped, so old clients keep working as servers grow new stat lines;
 // use StatsRaw or ServerStats for those.
 func (c *Client) Stats() (map[string]uint64, error) {
@@ -727,8 +725,7 @@ func (c *Client) Ping() error {
 }
 
 // KeySample is one entry of a server's hot-key export (the keys
-// command): a resident key and its access frequency at sampling time (0
-// when the serving engine does not track per-key frequency).
+// command): a resident key and its access frequency at sampling time.
 type KeySample struct {
 	Key  string
 	Freq int
@@ -757,7 +754,7 @@ func parseKeysPayload(payload []byte) ([]KeySample, error) {
 }
 
 // Keys fetches up to max resident keys from the server, hottest first
-// when the serving engine tracks per-key frequency — the feed cluster
+// by per-key frequency — the feed cluster
 // warm-up replays into a joining node. max <= 0 asks for the server's
 // default sample size.
 func (c *Client) Keys(max int) ([]KeySample, error) {

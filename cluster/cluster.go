@@ -8,7 +8,7 @@
 // nodes already run:
 //
 //   - Ghost-driven warm-up. Nodes export their resident keys
-//     hottest-first (the KEYS command, backed by the engines'
+//     hottest-first (the KEYS command, backed by the engine's
 //     frequency counters). When a node joins, the router replays the
 //     ring-adjacent nodes' hot keys into it BEFORE the ring cutover,
 //     so the keyspace slice it takes over arrives warm. When a node

@@ -36,7 +36,7 @@ func startTestNode(t *testing.T) *testNode {
 }
 
 func (n *testNode) serveOn(l net.Listener) {
-	c, err := cache.New(cache.Config{MaxBytes: 4 << 20, Engine: "concurrent"})
+	c, err := cache.New(cache.Config{MaxBytes: 4 << 20})
 	if err != nil {
 		n.t.Fatal(err)
 	}

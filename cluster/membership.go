@@ -14,7 +14,7 @@ import (
 //     health like any outage.
 //  2. Warm-up: BEFORE the ring cutover, replay the hot keys of the
 //     nodes that currently own the slices the newcomer will take.
-//     Donors export their resident keys hottest-first (the engines'
+//     Donors export their resident keys hottest-first (the engine's
 //     S3-FIFO frequency counters drive the order); every sampled key
 //     whose owner set under the NEW ring includes the newcomer is
 //     copied in, raw bytes, so version prefixes survive. Until the

@@ -1,8 +1,8 @@
 // Command s3cached is a memcached-style cache server backed by the
-// S3-FIFO cache library.
+// S3-FIFO cache library: every request is served by the lock-free
+// concurrent S3-FIFO (hits take no locks; misses serialize per shard).
 //
-//	s3cached -addr :11299 -max-bytes 268435456 -policy s3fifo
-//	s3cached -engine concurrent          # serve on the lock-free S3-FIFO
+//	s3cached -addr :11299 -max-bytes 268435456
 //
 // With -admin-addr <addr> the server also exposes an HTTP admin
 // listener:
@@ -73,10 +73,7 @@ func main() {
 	adminAddr := flag.String("admin-addr", "", "optional HTTP admin address serving /metrics, /stats, /healthz, /debug/pprof")
 	httpAddr := flag.String("http", "", "deprecated alias for -admin-addr")
 	maxBytes := flag.Uint64("max-bytes", 256<<20, "cache capacity in bytes")
-	engine := flag.String("engine", "policy",
-		"serving engine: "+strings.Join(cache.Engines(), ", "))
-	policy := flag.String("policy", "s3fifo", "eviction policy (see cache.Policies)")
-	shards := flag.Int("shards", 16, "cache shards")
+	shards := flag.Int("shards", 0, "cache queue shards, rounded up to a power of two (0 = max(GOMAXPROCS, 8))")
 	flashDir := flag.String("flash-dir", "", "directory for the flash tier's segment files (enables the tier)")
 	flashBytes := flag.Uint64("flash-bytes", 0, "flash tier capacity in bytes (required with -flash-dir)")
 	tier := flag.String("tier", "",
@@ -129,8 +126,6 @@ func main() {
 
 	cfg := cache.Config{
 		MaxBytes:              *maxBytes,
-		Engine:                *engine,
-		Policy:                *policy,
 		Shards:                *shards,
 		Tier:                  *tier,
 		TierAddr:              *tierAddr,
@@ -208,11 +203,10 @@ func main() {
 		os.Exit(0)
 	}()
 	if *flashDir != "" {
-		fmt.Printf("s3cached listening on %s (engine %s, %s, %d MiB DRAM + %d MiB flash at %s, %d shards)\n",
-			*addr, c.Engine(), *policy, *maxBytes>>20, *flashBytes>>20, *flashDir, *shards)
+		fmt.Printf("s3cached listening on %s (%d MiB DRAM + %d MiB flash at %s)\n",
+			*addr, *maxBytes>>20, *flashBytes>>20, *flashDir)
 	} else {
-		fmt.Printf("s3cached listening on %s (engine %s, %s, %d MiB, %d shards)\n",
-			*addr, c.Engine(), *policy, *maxBytes>>20, *shards)
+		fmt.Printf("s3cached listening on %s (%d MiB)\n", *addr, *maxBytes>>20)
 	}
 	if *slowOp > 0 {
 		fmt.Printf("slow-op log at %v\n", *slowOp)

@@ -6,10 +6,10 @@
 // writes the full result matrix as JSON so successive revisions have a
 // perf trajectory to regress against.
 //
-// It also compares the serving engines (policy vs concurrent) end-to-end
-// through the TCP server on loopback — the bare-structure numbers above
-// bound what the engine can do; the server sweep shows what survives the
-// protocol and the syscalls.
+// It also drives the serving engine end-to-end through the TCP server on
+// loopback — the bare-structure numbers above bound what the engine can
+// do; the server sweep shows what survives the protocol and the
+// syscalls.
 //
 //	throughput -objects 200000 -ops 2000000 -threads 1,2,4,8,16 \
 //	    -shards 1,2,4,8 -server-conns 1,2,4 -json BENCH_concurrent.json
@@ -27,7 +27,6 @@ import (
 	"strings"
 	"time"
 
-	"s3fifo/cache"
 	"s3fifo/internal/concurrent"
 	"s3fifo/internal/harness"
 )
@@ -46,10 +45,9 @@ type benchRow struct {
 	P999Ns    int64   `json:"p999_ns"`
 }
 
-// engineRow is one (engine, protocol, connections) end-to-end
-// measurement through the TCP server.
-type engineRow struct {
-	Engine   string  `json:"engine"`
+// serverRow is one (protocol, connections) end-to-end measurement
+// through the TCP server.
+type serverRow struct {
 	Proto    string  `json:"proto"`
 	Conns    int     `json:"conns"`
 	Kops     float64 `json:"kops"`
@@ -59,15 +57,15 @@ type engineRow struct {
 	P999Ns   int64   `json:"p999_ns"`
 }
 
-// engineSweep is the "engines" section of BENCH_concurrent.json: the
-// serving-stack comparison (policy vs concurrent engine over TCP,
-// text vs binary vs pipelined-binary protocol).
-type engineSweep struct {
+// serverSweep is the "engines" section of BENCH_concurrent.json (named
+// for the engine comparison it once held): the serving stack over TCP,
+// text vs binary vs pipelined-binary protocol.
+type serverSweep struct {
 	Objects       int         `json:"objects"`
 	Ops           int         `json:"ops"`
 	PipelineDepth int         `json:"pipeline_depth"`
 	Note          string      `json:"note"`
-	Rows          []engineRow `json:"rows"`
+	Rows          []serverRow `json:"rows"`
 }
 
 // clusterRow is one (nodes, replication) cluster-router measurement.
@@ -128,9 +126,8 @@ type telemetrySection struct {
 	OverheadPct float64 `json:"overhead_pct"`
 }
 
-// restartRow is one engine's warm-restart recovery measurement.
+// restartRow is one warm-restart recovery measurement.
 type restartRow struct {
-	Engine         string  `json:"engine"`
 	SteadyHitRatio float64 `json:"steady_hit_ratio"`
 	WarmHitRatio   float64 `json:"warm_hit_ratio"`
 	ColdHitRatio   float64 `json:"cold_hit_ratio"`
@@ -141,7 +138,7 @@ type restartRow struct {
 }
 
 // restartFile is the BENCH_restart.json layout: warm-restart hit-ratio
-// recovery per engine (snapshot shutdown, restore, first-window hit
+// recovery (snapshot shutdown, restore, first-window hit
 // ratio vs pre-shutdown steady state and vs a cold restart).
 type restartFile struct {
 	Objects   int          `json:"objects"`
@@ -157,7 +154,7 @@ type benchFile struct {
 	OpsPerThread int               `json:"ops_per_thread"`
 	Note         string            `json:"note"`
 	Rows         []benchRow        `json:"rows"`
-	Engines      *engineSweep      `json:"engines,omitempty"`
+	Server       *serverSweep      `json:"engines,omitempty"`
 	OpenLoop     *openLoopSection  `json:"openloop,omitempty"`
 	Telemetry    *telemetrySection `json:"telemetry,omitempty"`
 }
@@ -184,9 +181,7 @@ func main() {
 	threadsFlag := flag.String("threads", "", "comma-separated thread counts (default 1,2,4,8,16 capped at NumCPU)")
 	shardsFlag := flag.String("shards", "1,2,4,8", "comma-separated S3-FIFO queue-shard counts to sweep (empty disables)")
 	jsonPath := flag.String("json", "BENCH_concurrent.json", "write the result matrix as JSON to this path (empty disables)")
-	serverEngines := flag.String("server-engines", strings.Join(cache.Engines(), ","),
-		"engines to compare end-to-end through the TCP server (empty disables)")
-	serverConns := flag.String("server-conns", "1,2,4", "client-connection counts for the server sweep")
+	serverConns := flag.String("server-conns", "1,2,4", "client-connection counts for the server sweep (empty disables)")
 	serverObjects := flag.Int("server-objects", 20_000, "distinct objects in the server-sweep workload")
 	serverOps := flag.Int("server-ops", 200_000, "total operations per server-sweep measurement")
 	protosFlag := flag.String("protos", "text,binary,pipelined",
@@ -199,7 +194,7 @@ func main() {
 	clusterRepl := flag.String("cluster-repl", "1,2", "hot-shard replication factors for the cluster sweep")
 	clusterWorkers := flag.Int("cluster-workers", 8, "concurrent driver goroutines in the cluster sweep")
 	clusterJSON := flag.String("cluster-json", "BENCH_cluster.json", "write the cluster sweep as JSON to this path (empty disables)")
-	restart := flag.Bool("restart", true, "measure warm-restart hit-ratio recovery per engine")
+	restart := flag.Bool("restart", true, "measure warm-restart hit-ratio recovery")
 	restartJSON := flag.String("restart-json", "BENCH_restart.json", "write the restart sweep as JSON to this path (empty disables)")
 	restartWarmOps := flag.Int("restart-warm-ops", 200_000, "operations warming each server before the restart measurement")
 	overhead := flag.Bool("overhead", true, "measure telemetry overhead (live registry vs nil) through the cache facade")
@@ -261,47 +256,43 @@ func main() {
 		}
 		fmt.Println()
 	}
-	if *serverEngines != "" && !*overheadOnly {
-		engines := strings.Split(*serverEngines, ",")
-		for i := range engines {
-			engines[i] = strings.TrimSpace(engines[i])
-		}
+	if *serverConns != "" && !*overheadOnly {
 		protos := strings.Split(*protosFlag, ",")
 		for i := range protos {
 			protos[i] = strings.TrimSpace(protos[i])
 		}
-		fmt.Println("==== engines end-to-end (TCP server, closed loop) ====")
+		fmt.Println("==== server end-to-end (TCP server, closed loop) ====")
 		rows, err := harness.ServerSweep(harness.ServerSweepConfig{
 			Objects: *serverObjects, Ops: *serverOps,
-			Conns: parseInts("server-conns", *serverConns), Engines: engines,
+			Conns:  parseInts("server-conns", *serverConns),
 			Protos: protos, PipelineDepth: *pipelineDepth,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "throughput:", err)
 			os.Exit(1)
 		}
-		sweep := &engineSweep{
+		sweep := &serverSweep{
 			Objects: *serverObjects, Ops: *serverOps, PipelineDepth: *pipelineDepth,
 			Note: "get-or-set Zipf α=1.0 over loopback; capacity objects/10; " +
 				"round-trip latency sampled 1-in-16; pipelined rows drive " +
 				"pipeline_depth workers per connection",
 		}
-		fmt.Println("engine       proto      conns   Kops/s   hit-ratio      p50      p99     p999")
+		fmt.Println("proto      conns   Kops/s   hit-ratio      p50      p99     p999")
 		for _, r := range rows {
-			fmt.Printf("%-12s %-10s %5d  %7.1f  %.4f  %9v %8v %8v\n",
-				r.Engine, r.Proto, r.Conns, r.Kops(), r.HitRatio(), r.P50(), r.P99(), r.P999())
-			sweep.Rows = append(sweep.Rows, engineRow{
-				Engine: r.Engine, Proto: r.Proto, Conns: r.Conns, Kops: r.Kops(),
+			fmt.Printf("%-10s %5d  %7.1f  %.4f  %9v %8v %8v\n",
+				r.Proto, r.Conns, r.Kops(), r.HitRatio(), r.P50(), r.P99(), r.P999())
+			sweep.Rows = append(sweep.Rows, serverRow{
+				Proto: r.Proto, Conns: r.Conns, Kops: r.Kops(),
 				HitRatio: r.HitRatio(),
 				P50Ns:    r.P50().Nanoseconds(), P99Ns: r.P99().Nanoseconds(),
 				P999Ns: r.P999().Nanoseconds(),
 			})
 		}
-		out.Engines = sweep
+		out.Server = sweep
 		fmt.Println()
 	}
 	if *openLoop && !*overheadOnly {
-		fmt.Println("==== latency under offered load (open loop, concurrent engine) ====")
+		fmt.Println("==== latency under offered load (open loop) ====")
 		rows, err := harness.OpenLoop(harness.OpenLoopConfig{
 			Objects:       *serverObjects,
 			Rates:         parseInts("openloop-rates", *openLoopRates),
@@ -381,7 +372,7 @@ func main() {
 	}
 	if *restart && !*overheadOnly {
 		fmt.Println("==== warm restarts (snapshot shutdown -> restore, first-window hit ratio) ====")
-		rows, err := harness.RestartSweep(harness.RestartSweepConfig{
+		r, err := harness.Restart(harness.RestartConfig{
 			Objects: *serverObjects, WarmOps: *restartWarmOps,
 		})
 		if err != nil {
@@ -394,20 +385,18 @@ func main() {
 				"hit ratio / pre-shutdown steady window; cold row is the same window on an " +
 				"empty cache (the outage warm restarts avoid)",
 		}
-		fmt.Println("engine       steady     warm     cold  recovery  snapshot      save      load")
-		for _, r := range rows {
-			fmt.Printf("%-12s %.4f   %.4f   %.4f    %5.1f%%  %7.1fK  %8v  %8v\n",
-				r.Engine, r.SteadyHitRatio, r.WarmHitRatio, r.ColdHitRatio,
-				r.Recovery()*100, float64(r.SnapshotBytes)/1e3, r.Save.Round(time.Millisecond),
-				r.Load.Round(time.Millisecond))
-			rf.Rows = append(rf.Rows, restartRow{
-				Engine: r.Engine, SteadyHitRatio: r.SteadyHitRatio,
-				WarmHitRatio: r.WarmHitRatio, ColdHitRatio: r.ColdHitRatio,
-				Recovery: r.Recovery(), SnapshotBytes: r.SnapshotBytes,
-				SaveMs: float64(r.Save.Microseconds()) / 1e3,
-				LoadMs: float64(r.Load.Microseconds()) / 1e3,
-			})
-		}
+		fmt.Println("steady     warm     cold  recovery  snapshot      save      load")
+		fmt.Printf("%.4f   %.4f   %.4f    %5.1f%%  %7.1fK  %8v  %8v\n",
+			r.SteadyHitRatio, r.WarmHitRatio, r.ColdHitRatio,
+			r.Recovery()*100, float64(r.SnapshotBytes)/1e3, r.Save.Round(time.Millisecond),
+			r.Load.Round(time.Millisecond))
+		rf.Rows = append(rf.Rows, restartRow{
+			SteadyHitRatio: r.SteadyHitRatio,
+			WarmHitRatio:   r.WarmHitRatio, ColdHitRatio: r.ColdHitRatio,
+			Recovery: r.Recovery(), SnapshotBytes: r.SnapshotBytes,
+			SaveMs: float64(r.Save.Microseconds()) / 1e3,
+			LoadMs: float64(r.Load.Microseconds()) / 1e3,
+		})
 		fmt.Println()
 		if *restartJSON != "" {
 			buf, err := json.MarshalIndent(rf, "", "  ")
@@ -424,7 +413,7 @@ func main() {
 		}
 	}
 	if *overhead {
-		fmt.Println("==== telemetry overhead (facade, concurrent engine, 1 thread) ====")
+		fmt.Println("==== telemetry overhead (facade, 1 thread) ====")
 		res, err := harness.TelemetryOverhead(harness.OverheadConfig{Ops: *overheadOps})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "throughput:", err)
@@ -434,7 +423,7 @@ func main() {
 			res.BaseMops, res.MetricsMops, res.OverheadPct())
 		out.Telemetry = &telemetrySection{
 			Objects: res.Objects, Ops: res.Ops, Trials: res.Trials,
-			Note: "closed-loop get-or-set through cache.New (engine concurrent), " +
+			Note: "closed-loop get-or-set through cache.New, " +
 				"best of interleaved trials; nil registry vs live registry with the full cache_* catalog",
 			BaseMops:    res.BaseMops,
 			MetricsMops: res.MetricsMops,

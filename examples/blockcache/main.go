@@ -5,9 +5,10 @@
 //	go run ./examples/blockcache
 //
 // A database-like reader mixes hot-page lookups with full-table scans.
-// The same workload runs against LRU and S3-FIFO page caches; the example
-// reports hit ratios and simulated disk time, showing the scan flushing
-// LRU's working set while S3-FIFO's small queue absorbs it.
+// The same workload runs against LRU, CLOCK, and S3-FIFO page caches in
+// the trace simulator (internal/sim, where the paper's baselines live);
+// the example reports hit ratios and simulated disk time, showing the
+// scan flushing LRU's working set while S3-FIFO's small queue absorbs it.
 package main
 
 import (
@@ -15,46 +16,37 @@ import (
 	"log"
 	"time"
 
-	"s3fifo/cache"
+	"s3fifo/internal/sim"
 	"s3fifo/internal/trace"
 	"s3fifo/internal/workload"
 )
 
-const (
-	blockSize    = 4096
-	diskReadCost = 100 * time.Microsecond // simulated seek+read per block
-)
+const diskReadCost = 100 * time.Microsecond // simulated seek+read per block
 
 // disk is the simulated block device.
 type disk struct {
 	reads int
 }
 
-func (d *disk) read(block uint64) []byte {
+func (d *disk) read(block uint64) {
 	d.reads++
-	buf := make([]byte, blockSize)
-	buf[0] = byte(block) // deterministic content marker
-	return buf
 }
 
+// run replays tr through a page cache of one tenth of the footprint's
+// blocks, every block one slot, reading each miss from the disk.
 func run(policy string, tr trace.Trace) {
 	d := &disk{}
-	// Cache 10% of the footprint's blocks.
-	c, err := cache.New(cache.Config{
-		MaxBytes: uint64(tr.UniqueObjects()/10) * (blockSize + 16),
-		Policy:   policy,
-	})
+	c, err := sim.NewPolicy(policy, uint64(tr.UniqueObjects()/10), tr)
 	if err != nil {
 		log.Fatal(err)
 	}
 	hits := 0
 	for _, r := range tr {
-		key := fmt.Sprintf("block-%d", r.ID)
-		if _, ok := c.Get(key); ok {
+		if c.Request(r.ID, 1) {
 			hits++
 			continue
 		}
-		c.Set(key, d.read(r.ID))
+		d.read(r.ID)
 	}
 	hitRatio := float64(hits) / float64(len(tr))
 	diskTime := time.Duration(d.reads) * diskReadCost

@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	c, err := cache.New(cache.Config{MaxBytes: 1 << 20, Policy: "s3fifo"})
+	c, err := cache.New(cache.Config{MaxBytes: 1 << 20})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,7 +3,8 @@
 //	go run ./examples/quickstart
 //
 // It creates an S3-FIFO cache, exercises Get/Set/Delete, shows the stats
-// counters, and demonstrates switching the eviction algorithm.
+// counters, and compares S3-FIFO with LRU in the trace simulator, where
+// the paper's baseline algorithms run.
 package main
 
 import (
@@ -11,10 +12,12 @@ import (
 	"log"
 
 	"s3fifo/cache"
+	"s3fifo/internal/sim"
+	"s3fifo/internal/workload"
 )
 
 func main() {
-	// A 1 MiB cache using the paper's S3-FIFO eviction (the default).
+	// A 1 MiB cache using the paper's S3-FIFO eviction.
 	c, err := cache.New(cache.Config{MaxBytes: 1 << 20})
 	if err != nil {
 		log.Fatal(err)
@@ -54,12 +57,18 @@ func main() {
 	fmt.Printf("stats: %d hits, %d misses, %d evictions (hit ratio %.2f)\n",
 		st.Hits, st.Misses, st.Evictions, st.HitRatio())
 
-	// Any algorithm from the paper's evaluation can back the same API.
-	fmt.Printf("\navailable eviction policies: %v\n", cache.Policies())
-	lru, err := cache.New(cache.Config{MaxBytes: 1 << 20, Policy: "lru"})
+	// The baselines from the paper's evaluation run in the simulator:
+	// replay one Zipf trace, a quarter of it one-hit wonders, through
+	// S3-FIFO and LRU at a cache of a tenth of the footprint.
+	fmt.Printf("\nsimulated algorithms: %v\n", sim.Algorithms())
+	tr := workload.Generate(workload.Config{
+		Objects: 10000, Requests: 100000, Alpha: 1.0, OneHitFraction: 0.25,
+	}, 1)
+	results, err := sim.Compare([]string{"s3fifo", "lru"}, 1000, tr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lru.Set("k", []byte("v"))
-	fmt.Println("made an LRU-backed cache too:", lru.Contains("k"))
+	for _, r := range results {
+		fmt.Printf("%-6s miss ratio %.3f\n", r.Algorithm, r.MissRatio())
+	}
 }

@@ -72,7 +72,8 @@ type KVConfig struct {
 	// OnEvict, when set, observes every eviction (not deletes, not
 	// overwrites) with the entry's frequency at eviction. It runs with the
 	// owning shard's mutex held: keep it short, and never call back into
-	// the KV from inside it.
+	// the KV from inside it. With a hook set, a miss evicts only what the
+	// incoming entry needs instead of a batch.
 	OnEvict func(key string, value []byte, size uint32, freq int, expiresAt int64)
 }
 
@@ -85,8 +86,8 @@ type kvShard struct {
 	small       kvRing
 	main        kvRing
 	ghost       *ghost.Queue
-	// ghostSizedFor is the main-queue length the ghost was last sized to;
-	// Resize runs only when the current length drifts ≥1/8 from it.
+	// ghostSizedFor is the population the ghost was last sized to;
+	// Resize runs only when the current one drifts ≥1/8 from it.
 	ghostSizedFor int
 	// pending carries tombstone hints from the lock-free Delete path to
 	// the next lock holder; tombstones counts drained hints not yet swept.
@@ -94,7 +95,10 @@ type kvShard struct {
 	tombstones int
 	sweepAt    int
 	// evictSlack is the batch-eviction watermark: eviction overshoots by
-	// this many bytes so the following inserts skip the scan.
+	// this many bytes so the following inserts skip the scan. Zero with
+	// an eviction hook: each hooked eviction (a second-tier demotion)
+	// runs under the shard mutex on the inserting caller's time, so a
+	// batch would stall one Set behind many demotions.
 	evictSlack uint64
 	used       atomic.Int64 // resident bytes owned by this shard
 	live       atomic.Int64 // resident (non-dead) entries owned by this shard
@@ -216,13 +220,17 @@ func NewKV(cfg KVConfig) *KV {
 		if st < 1 {
 			st = 1
 		}
+		slack := c / 16
+		if cfg.OnEvict != nil {
+			slack = 0
+		}
 		kv.shards[i] = &kvShard{
 			capacity:    c,
 			smallTarget: st,
 			ghost:       ghost.New(16),
 			pending:     lockfree.NewRing(pendingRingCap),
 			sweepAt:     64,
-			evictSlack:  c / 16,
+			evictSlack:  slack,
 		}
 	}
 	return kv
@@ -523,11 +531,13 @@ func (s *kvShard) evictLocked(c *KV, incoming uint64) {
 	s.maybeResizeGhostLocked()
 }
 
-// maybeResizeGhostLocked tracks |G| = |M| (§4.2) lazily: the ghost is
-// resized only when the main queue length has drifted at least 1/8 from
-// the length it was last sized to.
+// maybeResizeGhostLocked tracks |G| = |M| (§4.2) the way internal/core
+// does: sized to max(|M|, resident entries), since while M is still
+// filling the resident count is the better estimate of its eventual
+// population. It is lazy: the ghost is resized only when that figure
+// has drifted at least 1/8 from the one it was last sized to.
 func (s *kvShard) maybeResizeGhostLocked() {
-	m := s.main.len()
+	m := maxI(s.main.len(), int(s.live.Load()))
 	d := m - s.ghostSizedFor
 	if d < 0 {
 		d = -d

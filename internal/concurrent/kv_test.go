@@ -195,6 +195,47 @@ func TestKVEvictionHook(t *testing.T) {
 	}
 }
 
+// TestKVHookedSetEvictsOnlyWhatItNeeds: with an eviction hook each victim
+// is a synchronous demotion under the shard mutex, so one Set must evict
+// no more than its own size plus one entry. Without a hook, eviction
+// still batches past that (down to a low watermark) so that the following
+// inserts skip the scan.
+func TestKVHookedSetEvictsOnlyWhatItNeeds(t *testing.T) {
+	const maxEntry = 512
+	for _, hooked := range []bool{true, false} {
+		var evicted uint64 // bytes handed to the hook by the current Set
+		cfg := KVConfig{MaxBytes: 64 << 10, Shards: 1}
+		if hooked {
+			cfg.OnEvict = func(_ string, _ []byte, size uint32, _ int, _ int64) { evicted += uint64(size) }
+		}
+		kv := NewKV(cfg)
+		var maxOver uint64 // largest evicted − incoming over all Sets
+		for i := 0; i < 5000; i++ {
+			key := fmt.Sprintf("k%05d", i)
+			value := make([]byte, 32+(i*7919)%(maxEntry-len(key)-32))
+			size := uint64(len(key) + len(value))
+			before := kv.Used()
+			evicted = 0
+			kv.Set(key, value, 0)
+			if !hooked {
+				evicted = before + size - kv.Used()
+			}
+			if evicted > size && evicted-size > maxOver {
+				maxOver = evicted - size
+			}
+		}
+		if kv.Evictions() == 0 {
+			t.Fatalf("hooked=%v: no evictions", hooked)
+		}
+		if hooked && maxOver > maxEntry {
+			t.Errorf("hooked Set evicted %d bytes beyond its own size, want at most one entry (%d)", maxOver, maxEntry)
+		}
+		if !hooked && maxOver <= maxEntry {
+			t.Errorf("unhooked Sets never batched eviction: at most %d bytes beyond the incoming size", maxOver)
+		}
+	}
+}
+
 func TestKVRange(t *testing.T) {
 	kv := NewKV(KVConfig{MaxBytes: 1 << 20, Shards: 2})
 	want := map[string]string{}

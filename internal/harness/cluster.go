@@ -129,10 +129,7 @@ func ClusterSweep(cfg ClusterSweepConfig) ([]ClusterSweepRow, error) {
 func clusterSweepOne(cfg ClusterSweepConfig, nodes, repl int, totalCapacity uint64, w *concurrent.Workload) (ClusterSweepRow, error) {
 	addrs := make([]string, nodes)
 	for i := 0; i < nodes; i++ {
-		c, err := cache.New(cache.Config{
-			MaxBytes: totalCapacity / uint64(nodes),
-			Engine:   "concurrent",
-		})
+		c, err := cache.New(cache.Config{MaxBytes: totalCapacity / uint64(nodes)})
 		if err != nil {
 			return ClusterSweepRow{}, err
 		}

@@ -27,8 +27,6 @@ type OpenLoopConfig struct {
 	Objects int
 	// ValueBytes is the payload size (default 64).
 	ValueBytes int
-	// Engine is the serving engine (default "concurrent").
-	Engine string
 	// Protos is the protocol modes to sweep (default text, binary,
 	// pipelined — same names as ServerSweepConfig.Protos).
 	Protos []string
@@ -49,9 +47,6 @@ func (c OpenLoopConfig) withDefaults() OpenLoopConfig {
 	}
 	if c.ValueBytes <= 0 {
 		c.ValueBytes = 64
-	}
-	if c.Engine == "" {
-		c.Engine = "concurrent"
 	}
 	if len(c.Protos) == 0 {
 		c.Protos = []string{"text", "binary", "pipelined"}
@@ -125,7 +120,7 @@ func OpenLoop(cfg OpenLoopConfig) ([]OpenLoopRow, error) {
 func openLoopOne(cfg OpenLoopConfig, proto string, rate int, w *concurrent.Workload) (OpenLoopRow, error) {
 	entryBytes := 16 + cfg.ValueBytes
 	capacity := uint64(cfg.Objects/10) * uint64(entryBytes)
-	c, err := cache.New(cache.Config{MaxBytes: capacity, Engine: cfg.Engine})
+	c, err := cache.New(cache.Config{MaxBytes: capacity})
 	if err != nil {
 		return OpenLoopRow{}, err
 	}

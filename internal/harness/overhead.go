@@ -62,7 +62,7 @@ func (r OverheadResult) OverheadPct() float64 {
 // TelemetryOverhead measures the facade-level cost of a live telemetry
 // registry: single-threaded (throughput deltas this small drown in
 // cross-core scheduler noise otherwise) closed-loop get-or-set over a
-// Zipf α=1.0 trace against the concurrent engine, capacity objects/10.
+// Zipf α=1.0 trace, capacity objects/10.
 // Trials alternate base/metrics so thermal or background drift hits both
 // sides equally.
 func TelemetryOverhead(cfg OverheadConfig) (OverheadResult, error) {
@@ -101,7 +101,6 @@ func TelemetryOverhead(cfg OverheadConfig) (OverheadResult, error) {
 func overheadRun(capacity uint64, keys []string, value []byte, reg *telemetry.Registry) (float64, error) {
 	c, err := cache.New(cache.Config{
 		MaxBytes: capacity,
-		Engine:   "concurrent",
 		Metrics:  reg,
 	})
 	if err != nil {

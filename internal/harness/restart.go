@@ -13,14 +13,14 @@ import (
 	"s3fifo/internal/server"
 )
 
-// RestartSweepConfig parameterizes the warm-restart measurement: for
-// each engine, a server is warmed to steady state over real TCP, shut
-// down into a metadata snapshot (cache.SaveFile), restarted from it
+// RestartConfig parameterizes the warm-restart measurement: a server is
+// warmed to steady state over real TCP, shut down into a metadata
+// snapshot (cache.SaveFile), restarted from it
 // (cache.LoadFile), and the first post-restart request window's hit
 // ratio is compared against the pre-shutdown steady state and against a
 // cold restart of the same server. The paper's operational pitch —
 // cache restarts without the re-warming outage — is this number.
-type RestartSweepConfig struct {
+type RestartConfig struct {
 	// Objects is the number of distinct keys (default 20_000).
 	Objects int
 	// WarmOps is how many get-or-set operations warm the server to
@@ -32,14 +32,12 @@ type RestartSweepConfig struct {
 	WindowOps int
 	// ValueBytes is the payload size (default 64).
 	ValueBytes int
-	// Engines to measure (default cache.Engines()).
-	Engines []string
 	// Dir holds the snapshot files (default: a fresh temp directory,
 	// removed afterwards).
 	Dir string
 }
 
-func (c RestartSweepConfig) withDefaults() RestartSweepConfig {
+func (c RestartConfig) withDefaults() RestartConfig {
 	if c.Objects <= 0 {
 		c.Objects = 20_000
 	}
@@ -52,15 +50,11 @@ func (c RestartSweepConfig) withDefaults() RestartSweepConfig {
 	if c.ValueBytes <= 0 {
 		c.ValueBytes = 64
 	}
-	if len(c.Engines) == 0 {
-		c.Engines = cache.Engines()
-	}
 	return c
 }
 
-// RestartRow is one engine's warm-restart measurement.
+// RestartRow is one warm-restart measurement.
 type RestartRow struct {
-	Engine string
 	// SteadyHitRatio is the last pre-shutdown window's hit ratio.
 	SteadyHitRatio float64
 	// WarmHitRatio is the first window after restoring the snapshot.
@@ -84,34 +78,29 @@ func (r RestartRow) Recovery() float64 {
 	return r.WarmHitRatio / r.SteadyHitRatio
 }
 
-// RestartSweep measures warm-restart hit-ratio recovery for each engine.
-// All windows replay Zipf α=1.0 traffic over the same key space; the
+// Restart measures warm-restart hit-ratio recovery. All windows replay Zipf α=1.0 traffic over the same key space; the
 // measurement windows use seeds distinct from the warming trace, so the
 // post-restart window models traffic continuing, not a literal replay of
 // requests the cache just served.
-func RestartSweep(cfg RestartSweepConfig) ([]RestartRow, error) {
+func Restart(cfg RestartConfig) (RestartRow, error) {
 	cfg = cfg.withDefaults()
 	dir := cfg.Dir
 	if dir == "" {
 		var err error
 		dir, err = os.MkdirTemp("", "s3fifo-restart")
 		if err != nil {
-			return nil, err
+			return RestartRow{}, err
 		}
 		defer os.RemoveAll(dir)
 	}
 	warm := concurrent.NewZipfWorkload(cfg.Objects, cfg.WarmOps, 1.0, cfg.ValueBytes, 42)
 	steadyW := concurrent.NewZipfWorkload(cfg.Objects, cfg.WindowOps, 1.0, cfg.ValueBytes, 43)
 	postW := concurrent.NewZipfWorkload(cfg.Objects, cfg.WindowOps, 1.0, cfg.ValueBytes, 44)
-	var out []RestartRow
-	for _, engine := range cfg.Engines {
-		row, err := restartOne(engine, cfg, dir, warm, steadyW, postW)
-		if err != nil {
-			return nil, fmt.Errorf("harness: restart, engine %s: %w", engine, err)
-		}
-		out = append(out, row)
+	row, err := restartOne(cfg, dir, warm, steadyW, postW)
+	if err != nil {
+		return row, fmt.Errorf("harness: restart: %w", err)
 	}
-	return out, nil
+	return row, nil
 }
 
 // restartServe starts an in-process server on loopback around c and
@@ -151,13 +140,10 @@ func restartWindow(addr string, w *concurrent.Workload) (float64, error) {
 	return float64(hits) / float64(len(w.Keys)), nil
 }
 
-func restartOne(engine string, cfg RestartSweepConfig, dir string, warm, steadyW, postW *concurrent.Workload) (RestartRow, error) {
+func restartOne(cfg RestartConfig, dir string, warm, steadyW, postW *concurrent.Workload) (RestartRow, error) {
 	entryBytes := 16 + cfg.ValueBytes
-	conf := cache.Config{
-		MaxBytes: uint64(cfg.Objects/10) * uint64(entryBytes),
-		Engine:   engine,
-	}
-	row := RestartRow{Engine: engine}
+	conf := cache.Config{MaxBytes: uint64(cfg.Objects/10) * uint64(entryBytes)}
+	var row RestartRow
 
 	// Phase 1: warm to steady state, measure the final window.
 	c, err := cache.New(conf)
@@ -182,7 +168,7 @@ func restartOne(engine string, cfg RestartSweepConfig, dir string, warm, steadyW
 	}
 
 	// Phase 2: shut down into a snapshot.
-	path := filepath.Join(dir, "restart-"+engine+".snap")
+	path := filepath.Join(dir, "restart.snap")
 	t0 := time.Now()
 	if err := c.SaveFile(path); err != nil {
 		c.Close()

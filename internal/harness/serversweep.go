@@ -12,13 +12,14 @@ import (
 	"s3fifo/internal/telemetry"
 )
 
-// ServerSweepConfig parameterizes the end-to-end engine comparison: one
-// in-process s3cached server per engine, driven closed-loop over real TCP
+// ServerSweepConfig parameterizes the end-to-end server sweep: an
+// in-process s3cached server driven closed-loop over real TCP
 // connections. Unlike Fig8, which measures the bare cache structures,
 // this sweep includes the full serving stack (wire protocol, per-request
-// syscalls, the cache facade), so it answers "does the engine choice
-// matter once a network is in front of it?" — and, per protocol, "how
-// much of the text protocol's cost does the binary framing recover?".
+// syscalls, the cache facade), so it answers "how much of the engine's
+// speed survives once a network is in front of it?" — and, per protocol,
+// "how much of the text protocol's cost does the binary framing
+// recover?".
 type ServerSweepConfig struct {
 	// Objects is the number of distinct keys (default 20_000).
 	Objects int
@@ -27,8 +28,6 @@ type ServerSweepConfig struct {
 	Ops int
 	// Conns is the client-connection counts to sweep (default 1,2,4).
 	Conns []int
-	// Engines to measure (default cache.Engines()).
-	Engines []string
 	// ValueBytes is the payload size (default 64).
 	ValueBytes int
 	// Protos is the wire protocols to sweep: "text" (one in-flight
@@ -52,9 +51,6 @@ func (c ServerSweepConfig) withDefaults() ServerSweepConfig {
 	if len(c.Conns) == 0 {
 		c.Conns = []int{1, 2, 4}
 	}
-	if len(c.Engines) == 0 {
-		c.Engines = cache.Engines()
-	}
 	if c.ValueBytes <= 0 {
 		c.ValueBytes = 64
 	}
@@ -67,9 +63,8 @@ func (c ServerSweepConfig) withDefaults() ServerSweepConfig {
 	return c
 }
 
-// ServerSweepRow is one (engine, protocol, connections) measurement.
+// ServerSweepRow is one (protocol, connections) measurement.
 type ServerSweepRow struct {
-	Engine  string
 	Proto   string
 	Conns   int
 	Ops     uint64
@@ -109,7 +104,7 @@ func (r ServerSweepRow) P99() time.Duration { return r.Latency.Quantile(0.99) }
 func (r ServerSweepRow) P999() time.Duration { return r.Latency.Quantile(0.999) }
 
 // ServerSweep measures closed-loop get-or-set throughput through the TCP
-// server for every engine and protocol: each worker replays its share of
+// server for every protocol: each worker replays its share of
 // a shared Zipf α=1.0 trace, Get first, Set on miss. The cache holds a
 // tenth of the key space, the Fig8 "large cache" regime.
 func ServerSweep(cfg ServerSweepConfig) ([]ServerSweepRow, error) {
@@ -119,16 +114,13 @@ func ServerSweep(cfg ServerSweepConfig) ([]ServerSweepRow, error) {
 	entryBytes := 16 + cfg.ValueBytes
 	capacity := uint64(cfg.Objects/10) * uint64(entryBytes)
 	var out []ServerSweepRow
-	for _, engine := range cfg.Engines {
-		for _, proto := range cfg.Protos {
-			for _, conns := range cfg.Conns {
-				row, err := serverSweepOne(engine, proto, conns, cfg.PipelineDepth, capacity, w)
-				if err != nil {
-					return nil, fmt.Errorf("harness: engine %s, proto %s, %d conns: %w",
-						engine, proto, conns, err)
-				}
-				out = append(out, row)
+	for _, proto := range cfg.Protos {
+		for _, conns := range cfg.Conns {
+			row, err := serverSweepOne(proto, conns, cfg.PipelineDepth, capacity, w)
+			if err != nil {
+				return nil, fmt.Errorf("harness: proto %s, %d conns: %w", proto, conns, err)
 			}
+			out = append(out, row)
 		}
 	}
 	return out, nil
@@ -148,8 +140,8 @@ func sweepDial(addr, proto string, depth int) (*client.Client, error) {
 	}
 }
 
-func serverSweepOne(engine, proto string, conns, depth int, capacity uint64, w *concurrent.Workload) (ServerSweepRow, error) {
-	c, err := cache.New(cache.Config{MaxBytes: capacity, Engine: engine})
+func serverSweepOne(proto string, conns, depth int, capacity uint64, w *concurrent.Workload) (ServerSweepRow, error) {
+	c, err := cache.New(cache.Config{MaxBytes: capacity})
 	if err != nil {
 		return ServerSweepRow{}, err
 	}
@@ -231,7 +223,7 @@ func serverSweepOne(engine, proto string, conns, depth int, capacity uint64, w *
 			results <- res
 		}(clients[i/workersPerConn], keys)
 	}
-	row := ServerSweepRow{Engine: engine, Proto: proto, Conns: conns, Ops: uint64(per * workers)}
+	row := ServerSweepRow{Proto: proto, Conns: conns, Ops: uint64(per * workers)}
 	for i := 0; i < workers; i++ {
 		res := <-results
 		if res.err != nil {

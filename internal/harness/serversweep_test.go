@@ -6,14 +6,13 @@ import (
 )
 
 // TestServerSweepProtos runs a miniature sweep across all three protocol
-// modes: the harness must produce a row per (engine, proto, conns) cell
+// modes: the harness must produce a row per (proto, conns) cell
 // with sane counters.
 func TestServerSweepProtos(t *testing.T) {
 	rows, err := ServerSweep(ServerSweepConfig{
 		Objects:       500,
 		Ops:           4_000,
 		Conns:         []int{2},
-		Engines:       []string{"concurrent"},
 		Protos:        []string{"text", "binary", "pipelined"},
 		PipelineDepth: 8,
 	})
@@ -43,7 +42,7 @@ func TestServerSweepProtos(t *testing.T) {
 func TestServerSweepRejectsUnknownProto(t *testing.T) {
 	_, err := ServerSweep(ServerSweepConfig{
 		Objects: 100, Ops: 100, Conns: []int{1},
-		Engines: []string{"concurrent"}, Protos: []string{"telepathy"},
+		Protos: []string{"telepathy"},
 	})
 	if err == nil {
 		t.Fatal("unknown protocol accepted")

@@ -62,8 +62,7 @@ func (s *Server) statsJSON() map[string]any {
 	c := s.cache
 	st := c.Stats()
 	out := map[string]any{
-		"engine": c.Engine(),
-		"hits":   st.Hits, "misses": st.Misses, "sets": st.Sets,
+		"hits": st.Hits, "misses": st.Misses, "sets": st.Sets,
 		"evictions": st.Evictions, "expired": st.Expired,
 		"hit_ratio": st.HitRatio(), "entries": c.Len(),
 		"bytes": c.Used(), "capacity": c.Capacity(),

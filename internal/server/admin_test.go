@@ -24,7 +24,6 @@ func TestAdminEndToEnd(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c, err := cache.New(cache.Config{
 		MaxBytes: 1 << 20,
-		Engine:   "concurrent",
 		Metrics:  reg,
 	})
 	if err != nil {
@@ -91,9 +90,6 @@ func TestAdminEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Engine != "concurrent" {
-		t.Errorf("engine = %q", st.Engine)
-	}
 	if st.CmdGet != 75 || st.CmdSet != 50 || st.CmdDelete != 10 {
 		t.Errorf("command counters = get %d set %d delete %d, want 75/50/10",
 			st.CmdGet, st.CmdSet, st.CmdDelete)
@@ -148,7 +144,7 @@ func TestAdminEndToEnd(t *testing.T) {
 	}
 
 	// Queue occupancy gauges must be present and account for at least
-	// the resident bytes (the concurrent engine's queue totals include
+	// the resident bytes (the engine's queue totals include
 	// tombstoned entries not yet swept, so they can exceed Used).
 	sb := metrics[`cache_queue_bytes{queue="small"}`]
 	mb := metrics[`cache_queue_bytes{queue="main"}`]
@@ -168,7 +164,7 @@ func TestAdminEndToEnd(t *testing.T) {
 	}
 
 	// The other admin routes answer.
-	for path, wantBody := range map[string]string{"/healthz": "ok\n", "/stats": `"engine"`} {
+	for path, wantBody := range map[string]string{"/healthz": "ok\n", "/stats": `"hit_ratio"`} {
 		resp, err := http.Get(admin.URL + path)
 		if err != nil {
 			t.Fatal(err)

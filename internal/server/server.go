@@ -756,7 +756,7 @@ const (
 // writeKeys renders the KEY lines for the keys command (without the END
 // terminator — the text path appends it, the binary path ships the lines
 // as a payload). One line per sampled key: "KEY <freq> <key>", hottest
-// first when the engine tracks frequency.
+// first.
 func (s *Server) writeKeys(w io.Writer, max int) {
 	if max > maxKeysMax {
 		max = maxKeysMax
@@ -770,7 +770,6 @@ func (s *Server) writeKeys(w io.Writer, max int) {
 // text path appends it, the binary path ships the lines as a payload).
 func (s *Server) writeStats(w io.Writer) {
 	st := s.cache.Stats()
-	fmt.Fprintf(w, "STAT engine %s\r\n", s.cache.Engine())
 	if s.nodeID != "" {
 		fmt.Fprintf(w, "STAT node_id %s\r\n", s.nodeID)
 	}
